@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race verify verify-full bench bench-smoke bench-pipeline bench-fidelity cache-smoke serve-smoke corpus-smoke fidelity-smoke bench-corpus bench-serve fmt-check lint lint-ignores lint-smoke
+.PHONY: build vet test test-race verify verify-full bench bench-smoke bench-pipeline bench-fidelity cache-smoke serve-smoke corpus-smoke fidelity-smoke bench-serve fmt-check lint lint-ignores lint-smoke
 
 # Packages holding the hot-path benchmarks recorded in BENCH_synth.json:
 # objective/gradient evaluation and synthesis (synth), gate-apply kernels
@@ -130,10 +130,11 @@ serve-smoke:
 	echo "serve-smoke: kill -9 mid-job recovered to a byte-identical result"
 
 # `make corpus-smoke` compiles the committed big-circuit corpus
-# (examples/circuits/corpus) twice through the overlapped batch driver:
-# pass 1 must finish with zero degradations, pass 2 must be served
-# entirely from the warm shared synthesis cache (hits > 0, misses = 0).
-# -samples 4 keeps it CI-cheap; the full numbers come from bench-corpus.
+# (examples/circuits/corpus) twice through the batch driver (shared
+# scheduler pool and synthesis cache): pass 1 must finish with zero
+# degradations, pass 2 must be served entirely from the warm shared
+# synthesis cache (hits > 0, misses = 0). -samples 4 keeps it CI-cheap;
+# the perfbench corpus-cold workload measures the full run.
 corpus-smoke:
 	@out=$$($(GO) run ./cmd/quest -corpus examples/circuits/corpus -passes 2 -samples 4) || exit 1; \
 	echo "$$out" | grep '^corpus-total'; \
@@ -142,22 +143,6 @@ corpus-smoke:
 	echo "$$out" | grep '^corpus-total' | grep 'pass=2 ' | \
 		grep -q 'degradations=0 cache_hits=[1-9][0-9]* cache_misses=0 ' || \
 		{ echo "corpus-smoke: pass 2 was not served entirely from the warm shared cache"; exit 1; }
-
-# `make bench-corpus` records the cross-circuit scheduling comparison in
-# BENCH_corpus.json: "staged-serial" models the pre-batch driver (one
-# quest invocation per file — serial, staged pipeline, cold private
-# cache per compilation), "overlap" is the batch driver (streaming
-# partition+synthesis, shared scheduler + one shared synthesis cache).
-# The workload is two passes over the corpus (the iterative
-# compile-inspect-recompile loop the driver exists for): within a pass
-# the shared cache deduplicates blocks across circuits, and across
-# passes it keeps serving warm — the per-invocation driver starts cold
-# every time, which is exactly the architecture gap being measured.
-bench-corpus:
-	$(GO) run ./cmd/quest -corpus examples/circuits/corpus -corpus-mode staged-serial -passes 2 | tee /dev/stderr | \
-		$(GO) run ./cmd/benchjson -corpus -out BENCH_corpus.json -section staged-serial
-	$(GO) run ./cmd/quest -corpus examples/circuits/corpus -corpus-mode overlap -passes 2 | tee /dev/stderr | \
-		$(GO) run ./cmd/benchjson -corpus -out BENCH_corpus.json -section overlap
 
 # `make bench-serve` records questd's serving behaviour under load into
 # BENCH_serve.json: latency percentiles/histogram plus shed and retry

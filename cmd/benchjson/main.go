@@ -5,15 +5,10 @@
 // Usage:
 //
 //	go test -bench=. -benchmem -run='^$' ./internal/... | benchjson -out BENCH_synth.json -section after
-//	quest -corpus examples/circuits/corpus | benchjson -corpus -out BENCH_corpus.json -section overlap
 //
 // The file holds named sections; -section replaces one section and
 // leaves the others untouched, so before/after snapshots of the same
-// benchmarks can live side by side. With -corpus, stdin is `quest
-// -corpus` output instead: the greppable `corpus <file> k=v ...` lines
-// become per-circuit records (plus a "total" record per pass) in
-// BENCH_corpus.json, so the staged-serial baseline and the overlapped
-// batch driver can be compared machine-readably across PRs.
+// benchmarks can live side by side.
 package main
 
 import (
@@ -28,27 +23,8 @@ import (
 func main() {
 	var section sectionFlag
 	out := flag.String("out", "BENCH_synth.json", "output JSON file (merged if it exists)")
-	corpus := flag.Bool("corpus", false, "parse `quest -corpus` output instead of `go test -bench` output")
 	flag.Var(&section, "section", "section name to (re)write in the output file (non-empty, at most once; default \"current\")")
 	flag.Parse()
-
-	if *corpus {
-		results, err := parseCorpus(bufio.NewScanner(os.Stdin))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		if len(results) == 0 {
-			fmt.Fprintln(os.Stderr, "benchjson: no corpus lines on stdin")
-			os.Exit(1)
-		}
-		if err := writeCorpusSection(*out, section.Get(), results); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("benchjson: wrote %d corpus records to section %q of %s\n", len(results), section.Get(), *out)
-		return
-	}
 
 	benches, err := parseBench(bufio.NewScanner(os.Stdin))
 	if err != nil {

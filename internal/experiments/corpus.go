@@ -17,34 +17,17 @@ import (
 	"repro/internal/ucache"
 )
 
-// Corpus compilation modes. StagedSerial reproduces the pre-batch
-// driver — compiling a directory used to mean one `quest` invocation per
-// file, so each circuit runs the staged pipeline serially with a private
-// per-run worker pool and its own cold synthesis cache. Overlapped is
-// the batch path this driver exists for: every circuit uses the
-// streaming partition+synthesis fusion, several circuits compile
-// concurrently, and all of them draw synthesis slots from one shared
-// scheduler pool and share one synthesis cache, so a block unitary
-// appearing anywhere in the corpus is synthesized exactly once
-// machine-wide (singleflight coalesces even concurrent duplicates).
-const (
-	ModeStagedSerial = "staged-serial"
-	ModeOverlapped   = "overlap"
-)
-
 // CorpusOptions configures RunCorpus.
 type CorpusOptions struct {
 	// Dir holds the corpus .qasm files (every *.qasm in it is compiled,
 	// in sorted order).
 	Dir string
-	// Mode is ModeOverlapped (default) or ModeStagedSerial.
-	Mode string
-	// Jobs is the number of circuits compiled concurrently in overlapped
-	// mode (default min(4, number of circuits); staged-serial is always 1).
+	// Jobs is the number of circuits compiled concurrently (default
+	// min(4, number of circuits)).
 	Jobs int
-	// Workers is the machine-wide synthesis slot budget: the shared
-	// scheduler pool size in overlapped mode, the per-run Parallelism in
-	// staged-serial mode (0 = NumCPU). Results are identical either way.
+	// Workers is the machine-wide synthesis slot budget: the size of the
+	// scheduler pool every circuit draws block slots from (0 = NumCPU).
+	// Results are identical for any value.
 	Workers int
 	// Passes compiles the corpus this many times against one shared
 	// synthesis cache (default 1); a second pass measures warm-cache
@@ -62,8 +45,8 @@ type CorpusOptions struct {
 	// Timeout bounds each circuit's compilation (0 = none); expired runs
 	// degrade rather than fail (AllowDegraded).
 	Timeout time.Duration
-	// Out receives the result table and the greppable `corpus ...` lines
-	// benchjson -corpus parses; nil means io.Discard.
+	// Out receives the result table and the greppable `corpus ...`
+	// lines; nil means io.Discard.
 	Out io.Writer
 }
 
@@ -91,7 +74,6 @@ type CorpusPass struct {
 
 // CorpusReport is RunCorpus's result.
 type CorpusReport struct {
-	Mode    string       `json:"mode"`
 	Workers int          `json:"workers"`
 	Jobs    int          `json:"jobs"`
 	Passes  []CorpusPass `json:"passes"`
@@ -110,20 +92,16 @@ func (r *CorpusReport) Degradations() int {
 
 // RunCorpus compiles every .qasm circuit in opts.Dir through the QUEST
 // pipeline and reports per-circuit CNOT reduction, wall time, and cache
-// activity. The two modes produce bit-identical compilation results
-// (asserted by tests); only scheduling differs, which is exactly what the
-// corpus benchmark measures.
+// activity. Several circuits compile concurrently; all of them draw
+// synthesis slots from one shared scheduler pool and share one synthesis
+// cache, so a block unitary appearing anywhere in the corpus is
+// synthesized once (singleflight coalesces even concurrent duplicates).
+// Each circuit's result is bit-identical to a solo pipeline.RunCtx of it
+// (asserted by tests); only scheduling differs.
 func RunCorpus(ctx context.Context, opts CorpusOptions) (*CorpusReport, error) {
 	out := opts.Out
 	if out == nil {
 		out = io.Discard
-	}
-	if opts.Mode == "" {
-		opts.Mode = ModeOverlapped
-	}
-	if opts.Mode != ModeOverlapped && opts.Mode != ModeStagedSerial {
-		return nil, fmt.Errorf("experiments: unknown corpus mode %q (have %s, %s)",
-			opts.Mode, ModeOverlapped, ModeStagedSerial)
 	}
 	if opts.Passes <= 0 {
 		opts.Passes = 1
@@ -151,42 +129,29 @@ func RunCorpus(ctx context.Context, opts CorpusOptions) (*CorpusReport, error) {
 		circuits[i] = &qasmCircuit{name: name, circuit: c}
 	}
 
-	// Overlapped mode shares one cache across the whole batch;
-	// staged-serial gives every circuit a cold private cache, exactly like
-	// the per-invocation runs it models. Caching never changes results
-	// (strict mode), so the two modes still compile identically.
 	var cache *ucache.Cache
-	if opts.CacheSize > 0 && opts.Mode == ModeOverlapped {
+	if opts.CacheSize > 0 {
 		cache = ucache.New(opts.CacheSize, 0)
 	}
 	workers := par.Workers(opts.Workers)
-	jobs := 1
-	var pool *par.Pool
-	if opts.Mode == ModeOverlapped {
-		pool = par.NewPool(workers)
-		jobs = opts.Jobs
-		if jobs <= 0 {
-			jobs = 4
-		}
-		if jobs > len(files) {
-			jobs = len(files)
-		}
+	pool := par.NewPool(workers)
+	jobs := opts.Jobs
+	if jobs <= 0 {
+		jobs = 4
+	}
+	if jobs > len(files) {
+		jobs = len(files)
 	}
 
-	report := &CorpusReport{Mode: opts.Mode, Workers: workers, Jobs: jobs}
+	report := &CorpusReport{Workers: workers, Jobs: jobs}
 	for pass := 1; pass <= opts.Passes; pass++ {
 		var statsBefore ucache.Stats
 		if cache != nil {
 			statsBefore = cache.Stats()
 		}
 		results := make([]CorpusCircuit, len(circuits))
-		var perPass ucache.Stats // staged-serial: summed per-circuit stats
 		compile := func(cctx context.Context, i int) error {
 			qc := circuits[i]
-			runCache := cache
-			if runCache == nil && opts.CacheSize > 0 {
-				runCache = ucache.New(opts.CacheSize, 0)
-			}
 			cfg := pipeline.Config{
 				BlockSize:        opts.BlockSize,
 				Epsilon:          opts.Epsilon,
@@ -195,21 +160,14 @@ func RunCorpus(ctx context.Context, opts CorpusOptions) (*CorpusReport, error) {
 				Seed:             opts.Seed,
 				Timeout:          opts.Timeout,
 				AllowDegraded:    opts.Timeout > 0,
-				SynthCache:       runCache,
+				SynthCache:       cache,
 				Parallelism:      workers,
-				Overlap:          opts.Mode == ModeOverlapped,
 				Scheduler:        pool,
 			}
 			start := time.Now()
 			res, err := pipeline.RunCtx(cctx, qc.circuit, cfg)
 			if err != nil {
 				return fmt.Errorf("%s: %w", qc.name, err)
-			}
-			if cache == nil && runCache != nil {
-				// Serial loop: no concurrent writers of perPass.
-				perPass.Hits += res.CacheStats.Hits
-				perPass.Misses += res.CacheStats.Misses
-				perPass.Evictions += res.CacheStats.Evictions
 			}
 			orig := qc.circuit.CNOTCount()
 			best := res.BestCNOTs()
@@ -232,20 +190,12 @@ func RunCorpus(ctx context.Context, opts CorpusOptions) (*CorpusReport, error) {
 			return nil
 		}
 		passStart := time.Now()
-		if jobs == 1 {
-			for i := range circuits {
-				if err := compile(ctx, i); err != nil {
-					return nil, fmt.Errorf("experiments: corpus: %w", err)
-				}
-			}
-		} else if err := par.ForEachErr(ctx, jobs, len(circuits), compile); err != nil {
+		if err := par.ForEachErr(ctx, jobs, len(circuits), compile); err != nil {
 			return nil, fmt.Errorf("experiments: corpus: %w", err)
 		}
 		p := CorpusPass{Pass: pass, Circuits: results, Wall: time.Since(passStart)}
 		if cache != nil {
 			p.CacheStats = cache.Stats().Sub(statsBefore)
-		} else {
-			p.CacheStats = perPass
 		}
 		report.Passes = append(report.Passes, p)
 		printCorpusPass(out, report, p)
@@ -260,10 +210,9 @@ type qasmCircuit struct {
 
 // printCorpusPass writes one pass's human table followed by the greppable
 // machine lines (`corpus <file> k=v ...` / `corpus-total ...`) that
-// cmd/benchjson -corpus turns into BENCH_corpus.json sections and
 // `make corpus-smoke` asserts on.
 func printCorpusPass(w io.Writer, r *CorpusReport, p CorpusPass) {
-	fmt.Fprintf(w, "\ncorpus pass %d (%s, workers=%d, jobs=%d)\n", p.Pass, r.Mode, r.Workers, r.Jobs)
+	fmt.Fprintf(w, "\ncorpus pass %d (workers=%d, jobs=%d)\n", p.Pass, r.Workers, r.Jobs)
 	fmt.Fprintf(w, "%-16s %7s %7s %8s %8s %10s %6s %6s %12s\n",
 		"circuit", "qubits", "blocks", "cnots", "approx", "reduction", "deg", "M", "wall")
 	totalDeg := 0
@@ -280,7 +229,7 @@ func printCorpusPass(w io.Writer, r *CorpusReport, p CorpusPass) {
 			c.File, p.Pass, c.Qubits, c.Ops, c.Blocks, c.CNOTs, c.ApproxCNOTs,
 			c.ReductionPct, c.Samples, c.Degradations, c.Wall.Nanoseconds())
 	}
-	fmt.Fprintf(w, "corpus-total mode=%s pass=%d workers=%d jobs=%d circuits=%d degradations=%d cache_hits=%d cache_misses=%d wall_ns=%d\n",
-		r.Mode, p.Pass, r.Workers, r.Jobs, len(p.Circuits), totalDeg,
+	fmt.Fprintf(w, "corpus-total pass=%d workers=%d jobs=%d circuits=%d degradations=%d cache_hits=%d cache_misses=%d wall_ns=%d\n",
+		p.Pass, r.Workers, r.Jobs, len(p.Circuits), totalDeg,
 		p.CacheStats.Hits, p.CacheStats.Misses, p.Wall.Nanoseconds())
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/algos"
+	"repro/internal/pipeline"
 	"repro/internal/qasm"
 )
 
@@ -37,10 +38,9 @@ func miniCorpus(t *testing.T) string {
 	return dir
 }
 
-func corpusOpts(dir, mode string) CorpusOptions {
+func corpusOpts(dir string) CorpusOptions {
 	return CorpusOptions{
 		Dir:              dir,
-		Mode:             mode,
 		Workers:          4,
 		Jobs:             3,
 		MaxSamples:       4,
@@ -49,30 +49,45 @@ func corpusOpts(dir, mode string) CorpusOptions {
 	}
 }
 
-// TestCorpusModesProduceIdenticalResults is the corpus-level determinism
-// claim: the overlapped+scheduled driver must compile every circuit to
-// exactly the same CNOT counts, block structure, sample count, and
-// degradations as the staged-serial baseline — only wall time may differ.
-func TestCorpusModesProduceIdenticalResults(t *testing.T) {
+// TestCorpusMatchesSoloRuns is the corpus-level determinism claim: the
+// concurrent, shared-pool, shared-cache driver must compile every circuit
+// to exactly the same block structure, CNOT counts, sample count and
+// degradations as a solo pipeline.RunCtx of that circuit with a private
+// worker pool and no cache — only wall time may differ.
+func TestCorpusMatchesSoloRuns(t *testing.T) {
 	dir := miniCorpus(t)
-	serial, err := RunCorpus(context.Background(), corpusOpts(dir, ModeStagedSerial))
+	opts := corpusOpts(dir)
+	rep, err := RunCorpus(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlap, err := RunCorpus(context.Background(), corpusOpts(dir, ModeOverlapped))
-	if err != nil {
-		t.Fatal(err)
+	got := rep.Passes[0].Circuits
+	if len(got) != 3 {
+		t.Fatalf("compiled %d circuits, want 3", len(got))
 	}
-	sc, oc := serial.Passes[0].Circuits, overlap.Passes[0].Circuits
-	if len(sc) != len(oc) {
-		t.Fatalf("circuit counts differ: %d vs %d", len(sc), len(oc))
-	}
-	for i := range sc {
-		a, b := sc[i], oc[i]
-		if a.File != b.File || a.Blocks != b.Blocks || a.CNOTs != b.CNOTs ||
-			a.ApproxCNOTs != b.ApproxCNOTs || a.Samples != b.Samples ||
-			a.Degradations != b.Degradations {
-			t.Errorf("%s: staged-serial %+v != overlapped %+v", a.File, a, b)
+	for _, cc := range got {
+		src, err := os.ReadFile(filepath.Join(dir, cc.File+".qasm"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := qasm.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pipeline.RunCtx(context.Background(), c, pipeline.Config{
+			MaxSamples:       opts.MaxSamples,
+			AnnealIterations: opts.AnnealIterations,
+			Parallelism:      opts.Workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cc.Blocks != len(res.Blocks) || cc.CNOTs != c.CNOTCount() ||
+			cc.ApproxCNOTs != res.BestCNOTs() || cc.Samples != len(res.Selected) ||
+			cc.Degradations != len(res.Degradations) {
+			t.Errorf("%s: corpus %+v != solo blocks=%d cnots=%d approx=%d samples=%d degradations=%d",
+				cc.File, cc, len(res.Blocks), c.CNOTCount(), res.BestCNOTs(),
+				len(res.Selected), len(res.Degradations))
 		}
 	}
 }
@@ -81,7 +96,7 @@ func TestCorpusModesProduceIdenticalResults(t *testing.T) {
 // the shared cache must be served (at least partly) from it.
 func TestCorpusSecondPassHitsCache(t *testing.T) {
 	dir := miniCorpus(t)
-	opts := corpusOpts(dir, ModeOverlapped)
+	opts := corpusOpts(dir)
 	opts.Passes = 2
 	rep, err := RunCorpus(context.Background(), opts)
 	if err != nil {
@@ -102,12 +117,12 @@ func TestCorpusSecondPassHitsCache(t *testing.T) {
 	}
 }
 
-// TestCorpusOutputLines: the greppable corpus lines benchjson and
-// corpus-smoke consume must be present and well-formed.
+// TestCorpusOutputLines: the greppable corpus lines corpus-smoke
+// consumes must be present and well-formed.
 func TestCorpusOutputLines(t *testing.T) {
 	dir := miniCorpus(t)
 	var buf strings.Builder
-	opts := corpusOpts(dir, ModeOverlapped)
+	opts := corpusOpts(dir)
 	opts.Out = &buf
 	if _, err := RunCorpus(context.Background(), opts); err != nil {
 		t.Fatal(err)
@@ -117,7 +132,7 @@ func TestCorpusOutputLines(t *testing.T) {
 		"corpus tfim_5 pass=1 ",
 		"corpus qft_4 pass=1 ",
 		"corpus vqe_5 pass=1 ",
-		"corpus-total mode=overlap pass=1 ",
+		"corpus-total pass=1 ",
 		"degradations=0",
 	} {
 		if !strings.Contains(out, want) {
@@ -126,15 +141,10 @@ func TestCorpusOutputLines(t *testing.T) {
 	}
 }
 
-// TestCorpusRejectsUnknownMode and empty directories.
+// TestCorpusBadInputs: an empty directory is an error.
 func TestCorpusBadInputs(t *testing.T) {
-	dir := miniCorpus(t)
-	opts := corpusOpts(dir, "warp")
-	if _, err := RunCorpus(context.Background(), opts); err == nil {
-		t.Error("unknown mode accepted")
-	}
 	empty := t.TempDir()
-	if _, err := RunCorpus(context.Background(), corpusOpts(empty, ModeOverlapped)); err == nil {
+	if _, err := RunCorpus(context.Background(), corpusOpts(empty)); err == nil {
 		t.Error("empty corpus accepted")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/faultinject"
 	"repro/internal/pipeline"
@@ -23,6 +24,9 @@ import (
 // against the journaled result SHA.
 type store struct {
 	dir string
+	// mu serializes saves: concurrent misses of one artifact would
+	// otherwise race on its single .tmp path.
+	mu sync.Mutex
 }
 
 func openStore(dir string) (*store, error) {
@@ -76,6 +80,8 @@ func (s *store) save(key string, art *pipeline.SynthesisArtifact) error {
 	if err := faultinject.Fire("jobs.artifact.write"); err != nil {
 		return fmt.Errorf("jobs: write artifact: %w", err)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	tmp := s.path(key) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {

@@ -1,9 +1,12 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -187,6 +190,36 @@ func TestRunDeterministic(t *testing.T) {
 		if r1.Selected[i].CNOTs != r2.Selected[i].CNOTs ||
 			math.Abs(r1.Selected[i].EpsilonSum-r2.Selected[i].EpsilonSum) > 1e-12 {
 			t.Errorf("sample %d differs between runs", i)
+		}
+	}
+}
+
+// TestRunDeterministicWithTiedCandidates repeats a compilation whose
+// blocks harvest exactly tied synthesis candidates (equal CNOTs,
+// bit-equal distance): cliffordt_4 at ε=0.1, seed 7, default settings.
+// Every repeat must select the same circuits.
+func TestRunDeterministicWithTiedCandidates(t *testing.T) {
+	c, err := algos.Generate("cliffordt", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Epsilon: 0.1, Seed: 7}
+	var want []string
+	for rep := 0; rep < 16; rep++ {
+		res, err := RunCtx(context.Background(), c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, a := range res.Selected {
+			got = append(got, fmt.Sprintf("%v %x %s", a.Choice, math.Float64bits(a.EpsilonSum), a.Circuit))
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("repeat %d selected different approximations:\n%v\nwant:\n%v", rep, got, want)
 		}
 	}
 }

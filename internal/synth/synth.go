@@ -273,7 +273,9 @@ depths:
 	return finish(stopErr)
 }
 
-// harvester retains the best candidates per CNOT count.
+// harvester retains the best candidates per CNOT count. Candidates with
+// bit-equal distances at one CNOT count keep their insertion order, which
+// the search fixes, so the harvest is deterministic.
 type harvester struct {
 	keep    int
 	byDepth map[int][]Candidate
@@ -292,7 +294,7 @@ func (h *harvester) add(nd node, target *linalg.Matrix) {
 		CNOTs:    nd.a.cnotCount(),
 	}
 	lst := append(h.byDepth[c.CNOTs], c)
-	sort.Slice(lst, func(i, j int) bool { return lst[i].Distance < lst[j].Distance })
+	sort.SliceStable(lst, func(i, j int) bool { return lst[i].Distance < lst[j].Distance })
 	if len(lst) > h.keep {
 		lst = lst[:h.keep]
 	}
@@ -303,19 +305,20 @@ func (h *harvester) add(nd node, target *linalg.Matrix) {
 // was harvested (e.g. the search was cancelled before the first node
 // finished optimizing).
 func (h *harvester) result() (_ Result, ok bool) {
+	depths := make([]int, 0, len(h.byDepth))
+	for d := range h.byDepth {
+		depths = append(depths, d)
+	}
+	sort.Ints(depths)
+	// Each bucket is already distance-sorted, so concatenating them in
+	// CNOT order gives the (CNOTs, Distance) order without reordering ties.
 	var all []Candidate
-	for _, lst := range h.byDepth {
-		all = append(all, lst...)
+	for _, d := range depths {
+		all = append(all, h.byDepth[d]...)
 	}
 	if len(all) == 0 {
 		return Result{}, false
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].CNOTs != all[j].CNOTs {
-			return all[i].CNOTs < all[j].CNOTs
-		}
-		return all[i].Distance < all[j].Distance
-	})
 	best := all[0]
 	for _, c := range all[1:] {
 		if c.Distance < best.Distance-1e-15 {

@@ -1,8 +1,10 @@
 package synth
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/circuit"
@@ -322,5 +324,76 @@ func TestAStarRotationOnly(t *testing.T) {
 	}
 	if res.Best.CNOTs != 0 || res.Best.Distance > 1e-6 {
 		t.Errorf("A* rotation-only: %d CNOTs at %g", res.Best.CNOTs, res.Best.Distance)
+	}
+}
+
+// tiedNodes returns harvest nodes for CNOT counts 0..depths-1 on two
+// qubits: at every count, pairs of different circuits share one
+// bit-equal distance.
+func tiedNodes(depths int) [][]node {
+	out := make([][]node, depths)
+	a := newSeedAnsatz(2)
+	for d := 0; d < depths; d++ {
+		if d > 0 {
+			a = a.withLayer(0, 1)
+		}
+		for k := 0; k < 4; k++ {
+			params := make([]float64, a.nparams)
+			for i := range params {
+				params[i] = float64(d*100+k*10+i) / 7
+			}
+			out[d] = append(out[d], node{a: a, params: params, dist: 0.25 + float64(k/2)*0.125})
+		}
+	}
+	return out
+}
+
+// TestHarvesterTiedCandidatesDeterministic feeds the same candidates,
+// with exact distance ties at every CNOT count, to harvesters in
+// different orders across CNOT counts (ties keep their relative order,
+// as the search fixes it) and requires identical Candidates every time.
+// Map iteration order must not leak into the harvest.
+func TestHarvesterTiedCandidatesDeterministic(t *testing.T) {
+	const depths = 6
+	nodes := tiedNodes(depths)
+	target := linalg.Identity(4)
+	orders := [][]int{
+		{0, 1, 2, 3, 4, 5},
+		{5, 4, 3, 2, 1, 0},
+		{2, 5, 0, 3, 1, 4},
+	}
+	describe := func(cands []Candidate) []string {
+		var out []string
+		for _, c := range cands {
+			out = append(out, fmt.Sprintf("%d %v %s", c.CNOTs, c.Distance, c.Circuit))
+		}
+		return out
+	}
+	var want []string
+	for rep := 0; rep < 20; rep++ {
+		for _, order := range orders {
+			h := &harvester{keep: 4}
+			// Interleave the counts: one node from each count in turn.
+			for k := 0; k < 4; k++ {
+				for _, d := range order {
+					h.add(nodes[d][k], target)
+				}
+			}
+			res, ok := h.result()
+			if !ok {
+				t.Fatal("no candidates harvested")
+			}
+			got := describe(res.Candidates)
+			if want == nil {
+				want = got
+				if len(want) != depths*4 {
+					t.Fatalf("harvested %d candidates, want %d", len(want), depths*4)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("rep %d order %v: candidates differ:\n%v\nwant:\n%v", rep, order, got, want)
+			}
+		}
 	}
 }
