@@ -32,7 +32,10 @@ func benchCircuit(n, ops int) *circuit.Circuit {
 
 // BenchmarkModelRun compares the serial and parallel trajectory engines on
 // the acceptance workload: same seed, same trajectory budget, bit-identical
-// output, only the worker count differs.
+// output, only the worker count differs. The fig-sweep case is the shape
+// of the noisy figure sweeps — weak uniform noise on a small circuit at
+// the default trajectory budget — where most trajectories draw no error
+// and fork late from the shared noiseless carrier.
 func BenchmarkModelRun(b *testing.B) {
 	c := benchCircuit(6, 120)
 	m := Uniform(0.01)
@@ -46,6 +49,15 @@ func BenchmarkModelRun(b *testing.B) {
 			}
 		})
 	}
+	b.Run("fig-sweep", func(b *testing.B) {
+		c := benchCircuit(5, 40)
+		m := Uniform(0.005)
+		opts := Options{Seed: 1, Parallelism: 1}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.Run(c, opts)
+		}
+	})
 }
 
 // BenchmarkModelRunWithShots includes readout error and shot sampling, the
@@ -60,16 +72,6 @@ func BenchmarkModelRunWithShots(b *testing.B) {
 				m.Run(c, opts)
 			}
 		})
-	}
-}
-
-func BenchmarkTrajectory(b *testing.B) {
-	c := benchCircuit(6, 120)
-	m := Uniform(0.01)
-	rng := rand.New(rand.NewSource(3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Trajectory(c, rng)
 	}
 }
 

@@ -85,3 +85,27 @@ func TestDeviceRunCtxMatchesRun(t *testing.T) {
 		}
 	}
 }
+
+func TestRunCtxRejectsNegativeTrajectories(t *testing.T) {
+	opts := Options{Trajectories: -5, Seed: 2}
+	if p, err := Uniform(0.05).RunCtx(context.Background(), bell(), opts); err == nil || p != nil {
+		t.Fatalf("Trajectories=-5: got %v, %v; want nil and an error", p, err)
+	}
+	if p := Uniform(0.05).Run(bell(), opts); p != nil {
+		t.Errorf("Run with Trajectories=-5 returned %v", p)
+	}
+	if _, err := Manila().RunCtx(context.Background(), bell(), opts); err == nil {
+		t.Error("Device.RunCtx accepted Trajectories=-5")
+	}
+	// Zero still selects the default budget of 100.
+	want := Uniform(0.05).Run(bell(), Options{Trajectories: 100, Seed: 2})
+	got, err := Uniform(0.05).RunCtx(context.Background(), bell(), Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("Trajectories=0 diverges from 100 at %d: %g vs %g", k, got[k], want[k])
+		}
+	}
+}

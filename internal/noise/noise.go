@@ -59,28 +59,6 @@ func (m Model) IsZero() bool {
 
 var paulis = [3]*linalg.Matrix{gate.PauliX, gate.PauliY, gate.PauliZ}
 
-// Trajectory runs one Monte-Carlo noise trajectory of the circuit from
-// |0...0> and returns the final statevector.
-func (m Model) Trajectory(c *circuit.Circuit, rng *rand.Rand) linalg.Vector {
-	state := sim.ZeroState(c.NumQubits)
-	for _, op := range c.Ops {
-		sim.ApplyOp(state, c.NumQubits, op)
-		p := m.OneQubitError
-		if len(op.Qubits) >= 2 {
-			p = m.TwoQubitError
-		}
-		for _, q := range op.Qubits {
-			if p > 0 && rng.Float64() < p {
-				sim.ApplyMatrixOp(state, c.NumQubits, paulis[rng.Intn(3)], []int{q})
-			}
-			if m.DampingError > 0 {
-				amplitudeDampingJump(state, c.NumQubits, q, m.DampingError, rng)
-			}
-		}
-	}
-	return state
-}
-
 // amplitudeDampingJump applies one quantum-jump step of the amplitude
 // damping channel with decay probability gamma to qubit q: with
 // probability gamma·P(q=1) the qubit decays to |0> (jump), otherwise the
@@ -190,6 +168,7 @@ const trajectoryChunk = 8
 // (circuit, model, Shots, Trajectories, Seed) and invariant under
 // Options.Parallelism; the shot-sampling RNG stream depends only on Seed,
 // so changing Trajectories never perturbs the shot-noise realization.
+// Run returns nil for options RunCtx rejects; call RunCtx to see why.
 func (m Model) Run(c *circuit.Circuit, opts Options) []float64 {
 	probs, _ := m.RunCtx(context.Background(), c, opts)
 	return probs
@@ -199,8 +178,11 @@ func (m Model) Run(c *circuit.Circuit, opts Options) []float64 {
 // and between Monte-Carlo trajectories. When ctx expires mid-run the
 // typed budget error is returned with a nil distribution — a partially
 // accumulated trajectory average is a biased estimator, so no partial
-// output is offered here.
+// output is offered here. A negative Options.Trajectories is an error.
 func (m Model) RunCtx(ctx context.Context, c *circuit.Circuit, opts Options) ([]float64, error) {
+	if opts.Trajectories < 0 {
+		return nil, fmt.Errorf("noise: negative trajectory count %d", opts.Trajectories)
+	}
 	opts.defaults()
 	if err := budget.Check(ctx); err != nil {
 		return nil, fmt.Errorf("noise: %w", err)
@@ -224,6 +206,185 @@ func (m Model) RunCtx(ctx context.Context, c *circuit.Circuit, opts Options) ([]
 	return probs, nil
 }
 
+// engine is one run's read-only trajectory context: the circuit's gate
+// matrices and per-op Pauli error rates, built once and shared by every
+// chunk.
+type engine struct {
+	n       int
+	ops     []circuit.Op
+	mats    []*linalg.Matrix
+	pauliP  []float64
+	damping float64
+}
+
+func (m Model) newEngine(c *circuit.Circuit) *engine {
+	e := &engine{
+		n:       c.NumQubits,
+		ops:     c.Ops,
+		mats:    make([]*linalg.Matrix, len(c.Ops)),
+		pauliP:  make([]float64, len(c.Ops)),
+		damping: m.DampingError,
+	}
+	for i, op := range c.Ops {
+		e.mats[i] = op.Spec().Build(op.Params)
+		e.pauliP[i] = m.OneQubitError
+		if len(op.Qubits) >= 2 {
+			e.pauliP[i] = m.TwoQubitError
+		}
+	}
+	return e
+}
+
+// pauliEvent is one planned Pauli error: paulis[pauli] hits operand slot
+// of op, right after op is applied.
+type pauliEvent struct {
+	op, slot, pauli int
+}
+
+// drawPauli is the per-qubit Pauli draw after a gate with error rate p:
+// whether the qubit is hit and, if so, by which Pauli.
+func drawPauli(rng *rand.Rand, p float64) (int, bool) {
+	if p > 0 && rng.Float64() < p {
+		return rng.Intn(3), true
+	}
+	return 0, false
+}
+
+// plan draws a trajectory's Pauli errors from its stream ahead of any
+// evolution, appending them to events in op order. Valid only without
+// damping: the Pauli draws then never depend on the state.
+func (e *engine) plan(rng *rand.Rand, events []pauliEvent) []pauliEvent {
+	for i, op := range e.ops {
+		for s := range op.Qubits {
+			if k, hit := drawPauli(rng, e.pauliP[i]); hit {
+				events = append(events, pauliEvent{op: i, slot: s, pauli: k})
+			}
+		}
+	}
+	return events
+}
+
+// finish evolves a state holding ops[:at] (without the noise after op
+// at-1) to the end of the circuit.
+func (e *engine) finish(state linalg.Vector, at int, events []pauliEvent, rng *rand.Rand) {
+	if at > 0 {
+		events = e.noise(state, at-1, events, rng)
+	}
+	for i := at; i < len(e.ops); i++ {
+		sim.ApplyMatrixOp(state, e.n, e.mats[i], e.ops[i].Qubits)
+		events = e.noise(state, i, events, rng)
+	}
+}
+
+// noise applies the errors that follow op i to each of its qubits in
+// operand order: the planned Paulis of events, or, when the model damps,
+// live Pauli and damping-jump draws from rng. It returns the events not
+// yet applied.
+func (e *engine) noise(state linalg.Vector, i int, events []pauliEvent, rng *rand.Rand) []pauliEvent {
+	qs := e.ops[i].Qubits
+	for s, q := range qs {
+		if e.damping > 0 {
+			if k, hit := drawPauli(rng, e.pauliP[i]); hit {
+				sim.ApplyMatrixOp(state, e.n, paulis[k], qs[s:s+1])
+			}
+			amplitudeDampingJump(state, e.n, q, e.damping, rng)
+		} else if len(events) > 0 && events[0].op == i && events[0].slot == s {
+			sim.ApplyMatrixOp(state, e.n, paulis[events[0].pauli], qs[s:s+1])
+			events = events[1:]
+		}
+	}
+	return events
+}
+
+// squaredMagnitudes writes |amp|² of state into dst.
+func squaredMagnitudes(dst []float64, state linalg.Vector) {
+	for k, amp := range state {
+		dst[k] = real(amp)*real(amp) + imag(amp)*imag(amp)
+	}
+}
+
+// clean marks a planned trajectory that draws no Pauli error.
+const clean = -1
+
+// runChunk returns the sum of the |amp|² of trajectories [lo, hi), added
+// in ascending trajectory order.
+//
+// Without damping the Pauli draws do not depend on the state, so every
+// trajectory's errors are planned from its stream first. One noiseless
+// carrier state then advances op by op, and each trajectory forks from it
+// right after the op of its first error; the trajectories without an
+// error share the carrier's final distribution. A fork replays exactly
+// the op and Pauli sequence of a from-scratch trajectory, so the result
+// is bit-identical to one. Damping draws depend on the state, so a
+// damping model forks every trajectory at the start and draws live.
+func (e *engine) runChunk(ctx context.Context, seed int64, lo, hi int) ([]float64, error) {
+	dim := 1 << e.n
+	size := hi - lo
+	events := make([][]pauliEvent, size)
+	at := make([]int, size) // ops the carrier holds when trajectory lo+j forks
+	probs := make([][]float64, size)
+	carrier := sim.ZeroState(e.n)
+	work := make(linalg.Vector, dim)
+	fork := func(j int, rng *rand.Rand) {
+		copy(work, carrier)
+		e.finish(work, at[j], events[j], rng)
+		probs[j] = make([]float64, dim)
+		squaredMagnitudes(probs[j], work)
+	}
+
+	var rng *rand.Rand
+	last := 0 // ops the carrier must advance through
+	for j := 0; j < size; j++ {
+		if err := budget.Check(ctx); err != nil {
+			return nil, err
+		}
+		// One rand.Rand per chunk, re-seeded once per trajectory.
+		s := streamSeed(seed, int64(lo+j))
+		if rng == nil {
+			rng = rand.New(rand.NewSource(s))
+		} else {
+			rng.Seed(s)
+		}
+		if e.damping > 0 {
+			fork(j, rng) // the carrier still holds |0...0>
+			continue
+		}
+		events[j] = e.plan(rng, nil)
+		if len(events[j]) == 0 {
+			at[j], last = clean, len(e.ops)
+			continue
+		}
+		at[j] = events[j][0].op + 1
+		if at[j] > last {
+			last = at[j]
+		}
+	}
+
+	for i := 0; i < last; i++ {
+		sim.ApplyMatrixOp(carrier, e.n, e.mats[i], e.ops[i].Qubits)
+		for j := range at {
+			if at[j] == i+1 {
+				fork(j, nil)
+			}
+		}
+	}
+	partial := make([]float64, dim)
+	var carrierProbs []float64
+	for j := range probs {
+		if at[j] == clean {
+			if carrierProbs == nil {
+				carrierProbs = make([]float64, dim)
+				squaredMagnitudes(carrierProbs, carrier)
+			}
+			probs[j] = carrierProbs
+		}
+		for k, v := range probs[j] {
+			partial[k] += v
+		}
+	}
+	return partial, nil
+}
+
 // accumulateTrajectories adds the mean trajectory probability mass into
 // probs. Trajectories are split into fixed-size chunks executed by a
 // bounded worker pool; each chunk owns a private partial sum and the
@@ -231,28 +392,14 @@ func (m Model) RunCtx(ctx context.Context, c *circuit.Circuit, opts Options) ([]
 // order (and hence the result, bit for bit) is independent of the worker
 // count.
 func (m Model) accumulateTrajectories(ctx context.Context, c *circuit.Circuit, opts Options, probs []float64) error {
-	dim := len(probs)
+	e := m.newEngine(c)
 	chunks := (opts.Trajectories + trajectoryChunk - 1) / trajectoryChunk
 	partials := make([][]float64, chunks)
 	err := par.ForEachErr(ctx, opts.Parallelism, chunks, func(cctx context.Context, ci int) error {
-		partial := make([]float64, dim)
 		lo := ci * trajectoryChunk
-		hi := lo + trajectoryChunk
-		if hi > opts.Trajectories {
-			hi = opts.Trajectories
-		}
-		for t := lo; t < hi; t++ {
-			if err := budget.Check(cctx); err != nil {
-				return err
-			}
-			rng := rand.New(rand.NewSource(streamSeed(opts.Seed, int64(t))))
-			state := m.Trajectory(c, rng)
-			for k, amp := range state {
-				partial[k] += real(amp)*real(amp) + imag(amp)*imag(amp)
-			}
-		}
-		partials[ci] = partial
-		return nil
+		var err error
+		partials[ci], err = e.runChunk(cctx, opts.Seed, lo, min(lo+trajectoryChunk, opts.Trajectories))
+		return err
 	})
 	if err != nil {
 		return err

