@@ -8,8 +8,9 @@ type journal struct {
 	f *os.File
 }
 
-// syncJournal mirrors the real package's crash-test seam: a func-typed
-// variable, not a method, so the analyzer must classify it by name.
+// syncJournal stands in for an fsync seam (the real tree's is
+// durable.Fsync): a func-typed variable, not a method, so the analyzer
+// must classify it by name.
 var syncJournal = func(f *os.File) error { return f.Sync() }
 
 // The canonical append: write, sync through the seam, then ack.
@@ -81,7 +82,7 @@ func (j *journal) writeAndClose(payload []byte) error {
 }
 
 // Void functions are out of scope: best-effort writes (the real
-// ucache.appendRecord) carry no ack to order the sync against.
+// durable.Log.Append) carry no ack to order the sync against.
 func (j *journal) bestEffort(payload []byte) {
 	_, _ = j.f.Write(payload)
 }

@@ -18,7 +18,7 @@
 // and re-enqueue with one attempt consumed (until the retry budget is
 // exhausted, then they fail), and terminal jobs are retained for status
 // and result serving. Torn or corrupt journal tails are skipped, never
-// fatal — the checksummed line format is the same discipline as
+// fatal — the journal is an internal/durable line log, like
 // internal/ucache's disk journal.
 //
 // # Results and the artifact store
@@ -69,7 +69,8 @@ type Params struct {
 	Epsilon float64 `json:"epsilon,omitempty"`
 	// MaxSamples is M, the ensemble size cap.
 	MaxSamples int `json:"max_samples,omitempty"`
-	// BlockSize is the maximum partition block size.
+	// BlockSize is the maximum partition block size, at most
+	// pipeline.MaxBlockSize.
 	BlockSize int `json:"block_size,omitempty"`
 	// Seed drives the deterministic pipeline.
 	Seed int64 `json:"seed,omitempty"`

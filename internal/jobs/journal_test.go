@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -142,5 +143,111 @@ func TestJournalCompaction(t *testing.T) {
 	}
 	if recs[0].Job == nil || recs[0].Job.ResultSHA != "abc" {
 		t.Errorf("state snapshot lost fields: %+v", recs[0].Job)
+	}
+}
+
+// TestJournalAppendAfterTornTailSurvives: recovery appends right after
+// the point where a crash tore the journal (questd's recovery `fail`
+// records, or the next acknowledged submit). That record must not land
+// on the torn bytes, or the next replay drops it as corrupt.
+func TestJournalAppendAfterTornTailSurvives(t *testing.T) {
+	dir := t.TempDir()
+	jn, _, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.append(record{Op: "submit", Job: &Job{ID: "j-00000001"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.append(record{Op: "start", ID: "j-00000001", Attempt: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.close(); err != nil {
+		t.Fatal(err)
+	}
+	tearJournalTail(t, dir, 7)
+
+	jn, _, err = openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.append(record{Op: "cancel", ID: "j-00000001"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jn, recs, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.close()
+	if len(recs) != 2 || recs[0].Op != "submit" || recs[1].Op != "cancel" {
+		t.Fatalf("replay = %+v, want the submit and the cancel appended after the tear", recs)
+	}
+}
+
+// TestJournalFormatUnchanged pins on-disk compatibility:
+// testdata/jobs.journal was written by the job journal as it stood
+// before it moved onto internal/durable (two jobs run to done, one
+// cancelled, one left queued). Its records must replay, and appending
+// them to a fresh journal must reproduce the file byte for byte.
+func TestJournalFormatUnchanged(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalName), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jn, recs, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.close(); err != nil {
+		t.Fatal(err)
+	}
+	var ops []string
+	for _, rec := range recs {
+		ops = append(ops, rec.Op)
+	}
+	if got := strings.Join(ops, " "); got != "submit start done submit start done submit cancel submit" {
+		t.Fatalf("replayed ops %q", got)
+	}
+
+	fresh := t.TempDir()
+	jn, _, err = openJournal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := jn.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jn.close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(fresh, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-journaled records differ from the committed journal:\n got %q\nwant %q", got, want)
+	}
+
+	// The manager rebuilds the same job states from it.
+	opts := testOpts(t)
+	opts.Dir = dir
+	opts.Workers = -1
+	m := openManager(t, opts)
+	for id, state := range map[string]State{
+		"j-00000001": Done, "j-00000002": Done, "j-00000004": Cancelled, "j-00000005": Queued,
+	} {
+		if j, ok := m.Get(id); !ok || j.State != state {
+			t.Errorf("job %s = %v (found %v), want %s", id, j.State, ok, state)
+		}
 	}
 }

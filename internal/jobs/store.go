@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"repro/internal/durable"
 	"repro/internal/faultinject"
 	"repro/internal/pipeline"
 )
@@ -25,7 +27,7 @@ import (
 type store struct {
 	dir string
 	// mu serializes saves: concurrent misses of one artifact would
-	// otherwise race on its single .tmp path.
+	// otherwise race on its single temporary file.
 	mu sync.Mutex
 }
 
@@ -74,36 +76,20 @@ func (s *store) load(key string) (*pipeline.SynthesisArtifact, error) {
 	return art, nil
 }
 
-// save writes the artifact under key: tmp file, fsync, atomic rename —
-// a crash mid-save can never leave a torn artifact under a live key.
+// save writes the artifact under key with an atomic replace — a crash
+// mid-save can never leave a torn artifact under a live key.
 func (s *store) save(key string, art *pipeline.SynthesisArtifact) error {
 	if err := faultinject.Fire("jobs.artifact.write"); err != nil {
 		return fmt.Errorf("jobs: write artifact: %w", err)
 	}
+	var buf bytes.Buffer
+	if err := art.Save(&buf); err != nil {
+		return fmt.Errorf("jobs: encode artifact: %w", err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tmp := s.path(key) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := durable.WriteFileAtomic(s.path(key), buf.Bytes()); err != nil {
 		return fmt.Errorf("jobs: write artifact: %w", err)
-	}
-	if err := art.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: write artifact: %w", err)
-	}
-	if err := syncJournal(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: sync artifact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: close artifact: %w", err)
-	}
-	if err := os.Rename(tmp, s.path(key)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: replace artifact: %w", err)
 	}
 	return nil
 }

@@ -9,6 +9,12 @@ import (
 	"repro/internal/ucache"
 )
 
+// MaxBlockSize is the widest partition block the repository handles: the
+// paper synthesizes blocks of at most 4 qubits, and a block's unitary
+// costs 2ⁿ×2ⁿ to build. LoadSynthesis rejects wider artifacts and questd
+// rejects wider submissions.
+const MaxBlockSize = 4
+
 // Config controls the pipeline. The zero value selects the paper-like
 // defaults (documented per field).
 //

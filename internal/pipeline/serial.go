@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/circuit"
 	"repro/internal/partition"
 	"repro/internal/qasm"
 	"repro/internal/sim"
@@ -62,19 +63,61 @@ func encodeCands(cands []synth.Candidate) []candJSON {
 	return out
 }
 
-func decodeCands(cands []candJSON) ([]synth.Candidate, error) {
+// decodeCands parses candidates that must all act on width qubits.
+func decodeCands(cands []candJSON, width int) ([]synth.Candidate, error) {
 	if len(cands) == 0 {
 		return nil, nil
 	}
 	out := make([]synth.Candidate, len(cands))
 	for i, c := range cands {
-		circ, err := qasm.Parse(c.QASM)
+		circ, err := parseWidth(c.QASM, width)
 		if err != nil {
 			return nil, fmt.Errorf("candidate %d: %w", i, err)
 		}
 		out[i] = synth.Candidate{Circuit: circ, Distance: c.Distance, CNOTs: c.CNOTs}
 	}
 	return out, nil
+}
+
+// parseWidth parses a block circuit that must act on exactly width qubits.
+func parseWidth(src string, width int) (*circuit.Circuit, error) {
+	c, err := qasm.Parse(src)
+	if err == nil && c.NumQubits != width {
+		err = fmt.Errorf("%d-qubit circuit in a %d-qubit block", c.NumQubits, width)
+	}
+	return c, err
+}
+
+// decodeBlock rebuilds one block after checking its shape: 1..blockSize
+// distinct qubits of an n-qubit circuit, with the block circuit and every
+// candidate exactly that wide.
+func decodeBlock(bj blockJSON, cfg Config, n int) (BlockApproximations, error) {
+	var ba BlockApproximations
+	width := len(bj.Qubits)
+	if width < 1 || width > cfg.BlockSize {
+		return ba, fmt.Errorf("%d qubits, block size is %d", width, cfg.BlockSize)
+	}
+	seen := make(map[int]bool, width)
+	for _, q := range bj.Qubits {
+		if q < 0 || q >= n || seen[q] {
+			return ba, fmt.Errorf("qubits %v are not distinct qubits of a %d-qubit circuit", bj.Qubits, n)
+		}
+		seen[q] = true
+	}
+	bc, err := parseWidth(bj.QASM, width)
+	if err != nil {
+		return ba, err
+	}
+	if ba.Candidates, err = decodeCands(bj.Candidates, width); err != nil {
+		return ba, err
+	}
+	if ba.all, err = decodeCands(bj.Raw, width); err != nil {
+		return ba, fmt.Errorf("raw %w", err)
+	}
+	ba.Block = partition.Block{Qubits: bj.Qubits, Circuit: bc}
+	ba.Unitary = sim.Unitary(bc)
+	ba.pairDist = pairDistances(ba.Candidates, cfg.Parallelism)
+	return ba, nil
 }
 
 // Save writes the artifact in its portable JSON encoding, so an expensive
@@ -109,7 +152,10 @@ func (art *SynthesisArtifact) Save(w io.Writer) error {
 
 // LoadSynthesis reads an artifact saved with Save. Circuits, unitaries
 // and pairwise candidate distances are reconstructed deterministically;
-// the result Reselects bit-identically to the saved artifact.
+// the result Reselects bit-identically to the saved artifact. A malformed
+// artifact — blocks wider than block_size or MaxBlockSize, qubits outside
+// the circuit, candidates of the wrong width — is an error, never a
+// panic.
 func LoadSynthesis(r io.Reader) (*SynthesisArtifact, error) {
 	var doc synthArtifactJSON
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
@@ -117,6 +163,9 @@ func LoadSynthesis(r io.Reader) (*SynthesisArtifact, error) {
 	}
 	if doc.Version != synthArtifactVersion {
 		return nil, fmt.Errorf("pipeline: load artifact: unsupported version %d", doc.Version)
+	}
+	if doc.BlockSize < 1 || doc.BlockSize > MaxBlockSize {
+		return nil, fmt.Errorf("pipeline: load artifact: block size %d outside 1..%d", doc.BlockSize, MaxBlockSize)
 	}
 	orig, err := qasm.Parse(doc.Original)
 	if err != nil {
@@ -142,28 +191,12 @@ func LoadSynthesis(r io.Reader) (*SynthesisArtifact, error) {
 		Elapsed:      time.Duration(doc.ElapsedNS),
 	}
 	for i, bj := range doc.Blocks {
-		bc, err := qasm.Parse(bj.QASM)
+		ba, err := decodeBlock(bj, cfg, orig.NumQubits)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: load artifact: block %d: %w", i, err)
 		}
-		cands, err := decodeCands(bj.Candidates)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: load artifact: block %d: %w", i, err)
-		}
-		raw, err := decodeCands(bj.Raw)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: load artifact: block %d raw: %w", i, err)
-		}
-		blk := partition.Block{Qubits: bj.Qubits, Circuit: bc}
-		ba := BlockApproximations{
-			Block:      blk,
-			Unitary:    sim.Unitary(bc),
-			Candidates: cands,
-			all:        raw,
-		}
-		ba.pairDist = pairDistances(cands, cfg.Parallelism)
 		art.Blocks = append(art.Blocks, ba)
-		art.Partition.Blocks = append(art.Partition.Blocks, blk)
+		art.Partition.Blocks = append(art.Partition.Blocks, ba.Block)
 	}
 	return art, nil
 }

@@ -141,6 +141,21 @@ func TestSubmitErrors(t *testing.T) {
 	}
 }
 
+// TestSubmitOverwideBlockSizeIs400: a block size beyond the pipeline's
+// bound would allocate a 2ⁿ×2ⁿ unitary per block; it is a bad request.
+func TestSubmitOverwideBlockSizeIs400(t *testing.T) {
+	ts, _ := testServer(t, -1)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		submitBody(t, fmt.Sprintf(`, "params": {"block_size": %d}`, pipeline.MaxBlockSize+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("over-wide block size status = %d, want 400", resp.StatusCode)
+	}
+}
+
 func TestQueueFullStormReturns429WithRetryAfter(t *testing.T) {
 	ts, _ := testServerOpts(t, jobs.Options{
 		Dir:      t.TempDir(),

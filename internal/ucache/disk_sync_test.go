@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/linalg"
 )
 
@@ -23,8 +24,8 @@ type syncRecorder struct {
 func recordSyncs(t *testing.T) *syncRecorder {
 	t.Helper()
 	rec := &syncRecorder{}
-	prev := syncFile
-	syncFile = func(f *os.File) error {
+	prev := durable.Fsync
+	durable.Fsync = func(f *os.File) error {
 		rec.mu.Lock()
 		rec.names = append(rec.names, f.Name())
 		err := rec.err
@@ -34,7 +35,7 @@ func recordSyncs(t *testing.T) *syncRecorder {
 		}
 		return prev(f)
 	}
-	t.Cleanup(func() { syncFile = prev })
+	t.Cleanup(func() { durable.Fsync = prev })
 	return rec
 }
 

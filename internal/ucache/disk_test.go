@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/linalg"
 	"repro/internal/qasm"
 	"repro/internal/synth"
@@ -180,7 +181,7 @@ func TestDiskVersionMismatchStartsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := bytes.SplitAfterN(data, []byte{'\n'}, 2)
-	head := formatLine([]byte(`{"v":99,"grid":1e-12,"tol":0,"cap":8}`))
+	head := durable.Line([]byte(`{"v":99,"grid":1e-12,"tol":0,"cap":8}`))
 	if err := os.WriteFile(journalPath(dir), append(head, lines[1]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -369,5 +370,95 @@ func TestPhaseFactorAnchorsOnLargestMagnitudeEntry(t *testing.T) {
 	c := New(4, 0)
 	if c.key(m, testOpts.Canonical(2)) != c.key(rot, testOpts.Canonical(2)) {
 		t.Fatal("cache key differs under global phase with tiny leading column")
+	}
+}
+
+// TestDiskInsertAfterTornTailSurvives: an entry inserted after reopening
+// a journal whose tail a crash tore must not land on the torn bytes, or
+// the next load drops it as corrupt.
+func TestDiskInsertAfterTornTailSurvives(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(28))
+	t1 := linalg.RandomUnitary(4, rng)
+	t2 := linalg.RandomUnitary(4, rng)
+	t3 := linalg.RandomUnitary(4, rng)
+
+	c1, err := OpenDisk(dir, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSynth(t, c1, t1)
+	mustSynth(t, c1, t2)
+	c1.Close()
+	data, err := os.ReadFile(journalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(journalPath(dir), data[:len(data)-37], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := OpenDisk(dir, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSynth(t, c2, t3)
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c3, err := OpenDisk(dir, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	for i, target := range []*linalg.Matrix{t1, t3} {
+		if _, hit, err := c3.Synthesize(target, testOpts); err != nil || !hit {
+			t.Fatalf("entry %d: hit=%v err=%v, want a hit after the reload", i, hit, err)
+		}
+	}
+}
+
+// TestDiskFormatUnchanged pins on-disk compatibility:
+// testdata/synth.journal was written by the cache journal as it stood
+// before it moved onto internal/durable (three 2-qubit entries from
+// seed 41, capacity 8). Every entry must load as a hit, and a rewrite
+// must reproduce its entry lines byte for byte.
+func TestDiskFormatUnchanged(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(journalPath(dir), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A capacity change rewrites the journal: new header, same entries.
+	c, err := OpenDisk(dir, 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 3 {
+		t.Fatalf("loaded %d entries, want 3", c.Len())
+	}
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 3; i++ {
+		if _, hit, err := c.Synthesize(linalg.RandomUnitary(4, rng), testOpts); err != nil || !hit {
+			t.Fatalf("entry %d: hit=%v err=%v, want a hit", i, hit, err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(journalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := func(b []byte) []byte { return b[bytes.IndexByte(b, '\n')+1:] }
+	if !bytes.Equal(body(got), body(want)) {
+		t.Fatal("rewritten entries differ from the committed journal")
+	}
+	if head := durable.Line([]byte(`{"v":1,"grid":1e-12,"tol":0,"cap":16}`)); !bytes.HasPrefix(got, head) {
+		t.Fatalf("rewritten header %q, want %q", got[:bytes.IndexByte(got, '\n')+1], head)
 	}
 }

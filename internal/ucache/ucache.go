@@ -53,6 +53,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/durable"
 	"repro/internal/linalg"
 	"repro/internal/synth"
 )
@@ -128,7 +129,8 @@ type Cache struct {
 	buckets map[uint64][]*list.Element
 	flights map[uint64]*flight
 	stats   Stats
-	disk    *diskStore // nil for memory-only caches; see OpenDisk
+	disk    *durable.Log[diskRecord] // journal; nil for memory-only caches, see OpenDisk
+	diskErr error                    // failed compaction; ends compaction, surfaced by Close
 }
 
 // New returns a cache bounded to capacity entries with the given match
@@ -290,7 +292,7 @@ func (c *Cache) lookup(key uint64, target *linalg.Matrix) (synth.Result, bool) {
 // so loading never re-journals).
 func (c *Cache) insert(key uint64, target *linalg.Matrix, res synth.Result) {
 	if c.disk != nil {
-		c.disk.appendRecord(key, target, res)
+		c.disk.Append(encodeRecord(key, target, res))
 	}
 	el := c.ll.PushFront(&entry{key: key, target: target, res: res})
 	c.buckets[key] = append(c.buckets[key], el)
