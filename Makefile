@@ -10,7 +10,7 @@ GO ?= go
 # Packages holding the hot-path benchmarks recorded in BENCH_synth.json:
 # objective/gradient evaluation and synthesis (synth), gate-apply kernels
 # (linalg), cached-vs-cold synthesis (ucache), the simulator and noise
-# engines, plus the streaming partitioner scan.
+# engines, plus the partitioner scan against its reference.
 BENCH_PKGS = ./internal/synth ./internal/linalg ./internal/ucache ./internal/noise ./internal/sim ./internal/partition
 
 build:

@@ -392,10 +392,10 @@ func (m *Manager) Submit(req Request) (Job, error) {
 	}
 	canonical := qasm.Write(c)
 	p := m.resolveParams(req.Params)
-	if p.BlockSize > pipeline.MaxBlockSize {
-		return Job{}, fmt.Errorf("%w: block size %d exceeds %d", ErrInvalid, p.BlockSize, pipeline.MaxBlockSize)
-	}
 	cfg, err := m.jobConfig(p)
+	if err == nil {
+		err = cfg.Validate()
+	}
 	if err != nil {
 		return Job{}, fmt.Errorf("%w: %w", ErrInvalid, err)
 	}

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -102,17 +103,6 @@ func TestSpecializedKernelsMatchExpandedProduct(t *testing.T) {
 			if d := MaxAbsDiff(right, Mul(m, full)); d > 1e-9 {
 				t.Errorf("n=%d qubits=%v: ApplyRight diff %g", n, qs, d)
 			}
-
-			var tr complex128
-			if len(qs) == 1 {
-				tr = SubspaceTrace1(m, (*[4]complex128)(g.Data), qs[0])
-			} else {
-				tr = SubspaceTrace2(m, (*[16]complex128)(g.Data), qs[0], qs[1])
-			}
-			want := Mul(m, full).Trace()
-			if d := tr - want; real(d)*real(d)+imag(d)*imag(d) > 1e-18 {
-				t.Errorf("n=%d qubits=%v: SubspaceTrace = %v, want %v", n, qs, tr, want)
-			}
 		}
 	}
 }
@@ -129,28 +119,21 @@ func TestSpecializedKernelsMatchGenericTab(t *testing.T) {
 
 			specL, genL := m.Copy(), m.Copy()
 			specR, genR := m.Copy(), m.Copy()
-			var specT, genT complex128
 			if len(qs) == 1 {
 				ApplyLeft1(specL, (*[4]complex128)(g.Data), qs[0])
 				ApplyRight1(specR, (*[4]complex128)(g.Data), qs[0])
-				specT = SubspaceTrace1(m, (*[4]complex128)(g.Data), qs[0])
 			} else {
 				ApplyLeft2(specL, (*[16]complex128)(g.Data), qs[0], qs[1])
 				ApplyRight2(specR, (*[16]complex128)(g.Data), qs[0], qs[1])
-				specT = SubspaceTrace2(m, (*[16]complex128)(g.Data), qs[0], qs[1])
 			}
 			ApplyLeftTab(genL, g.Data, tab)
 			ApplyRightTab(genR, g.Data, tab)
-			genT = SubspaceTraceTab(m, g.Data, tab)
 
 			if d := MaxAbsDiff(specL, genL); d > 1e-12 {
 				t.Errorf("n=%d qubits=%v: left spec vs generic diff %g", n, qs, d)
 			}
 			if d := MaxAbsDiff(specR, genR); d > 1e-12 {
 				t.Errorf("n=%d qubits=%v: right spec vs generic diff %g", n, qs, d)
-			}
-			if d := specT - genT; real(d)*real(d)+imag(d)*imag(d) > 1e-24 {
-				t.Errorf("n=%d qubits=%v: trace spec %v vs generic %v", n, qs, specT, genT)
 			}
 		}
 	}
@@ -196,18 +179,163 @@ func TestKernelAllocationFree(t *testing.T) {
 	g1 := RandomUnitary(2, rng)
 	g2 := RandomUnitary(4, rng)
 	tab := NewScatterTab([]int{2, 0})
+	state := make([]complex128, 8)
+	state[0] = 1
 	allocs := testing.AllocsPerRun(100, func() {
 		ApplyLeft1(m, (*[4]complex128)(g1.Data), 1)
 		ApplyRight1(m, (*[4]complex128)(g1.Data), 1)
 		ApplyLeft2(m, (*[16]complex128)(g2.Data), 2, 0)
 		ApplyRight2(m, (*[16]complex128)(g2.Data), 2, 0)
-		SubspaceTrace1(m, (*[4]complex128)(g1.Data), 0)
-		SubspaceTrace2(m, (*[16]complex128)(g2.Data), 2, 1)
 		ApplyLeftTab(m, g2.Data, tab)
 		ApplyRightTab(m, g2.Data, tab)
-		SubspaceTraceTab(m, g2.Data, tab)
+		ApplyVec1(state, (*[4]complex128)(g1.Data), 2)
+		ApplyVec2(state, (*[16]complex128)(g2.Data), 2, 1)
 	})
 	if allocs != 0 {
 		t.Errorf("kernels allocate %v times per run, want 0", allocs)
+	}
+}
+
+// wideQubitSets returns random k-qubit placements (k=3 and k=4) on n
+// qubits, in arbitrary order (the kernels must handle any permutation).
+func wideQubitSets(n int, rng *rand.Rand) [][]int {
+	pick := func(k int) []int {
+		perm := rng.Perm(n)
+		return append([]int(nil), perm[:k]...)
+	}
+	var sets [][]int
+	for i := 0; i < 4; i++ {
+		sets = append(sets, pick(3))
+	}
+	if n >= 4 {
+		for i := 0; i < 4; i++ {
+			sets = append(sets, pick(4))
+		}
+	}
+	return sets
+}
+
+func TestWideKernelsMatchExpandedProduct(t *testing.T) {
+	// Gates wider than two qubits take the ScatterTab path; check it
+	// against the ground-truth full-matrix product at k=3 and k=4.
+	for _, n := range []int{4, 5, 6} {
+		rng := rand.New(rand.NewSource(int64(400 + n)))
+		m := RandomUnitary(1<<n, rng)
+		for _, qs := range wideQubitSets(n, rng) {
+			g := RandomUnitary(1<<len(qs), rng)
+			full := expand(n, g, qs)
+			tab := NewScatterTab(qs)
+
+			left := m.Copy()
+			ApplyLeftTab(left, g.Data, tab)
+			if d := MaxAbsDiff(left, Mul(full, m)); d > 1e-9 {
+				t.Errorf("n=%d qubits=%v: ApplyLeftTab diff %g", n, qs, d)
+			}
+
+			right := m.Copy()
+			ApplyRightTab(right, g.Data, tab)
+			if d := MaxAbsDiff(right, Mul(m, full)); d > 1e-9 {
+				t.Errorf("n=%d qubits=%v: ApplyRightTab diff %g", n, qs, d)
+			}
+
+			state := make([]complex128, 1<<n)
+			for i := range state {
+				state[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			want := ApplyMatrix(full, Vector(append([]complex128(nil), state...)))
+			ApplyVecTab(state, g.Data, tab)
+			for i := range want {
+				if d := state[i] - want[i]; real(d)*real(d)+imag(d)*imag(d) > 1e-18 {
+					t.Fatalf("n=%d qubits=%v: ApplyVecTab[%d] = %v, want %v", n, qs, i, state[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestWideKernelAllocationFree(t *testing.T) {
+	// 5-qubit operands: the k=3/k=4 ScatterTab path, the synthesis
+	// objective's Into/Gather/contract kernels, and LayerGradContract on its
+	// unstaged generic path (operands wider than 16x16).
+	rng := rand.New(rand.NewSource(8))
+	m := RandomUnitary(32, rng)
+	dst := New(32, 32)
+	small := RandomUnitary(8, rng)
+	smallDst := New(8, 8)
+	g1 := RandomUnitary(2, rng)
+	g2 := RandomUnitary(4, rng)
+	g3 := RandomUnitary(8, rng)
+	g4 := RandomUnitary(16, rng)
+	tab3 := NewScatterTab([]int{4, 2, 0})
+	tab4 := NewScatterTab([]int{4, 3, 1, 0})
+	state := make([]complex128, 32)
+	state[0] = 1
+	blocks := make([]complex128, 4*32)
+	var rc, rt, w, v [4]complex128
+	allocs := testing.AllocsPerRun(100, func() {
+		ApplyLeftTab(m, g3.Data, tab3)
+		ApplyRightTab(m, g3.Data, tab3)
+		ApplyVecTab(state, g3.Data, tab3)
+		ApplyLeftTab(m, g4.Data, tab4)
+		ApplyRightTab(m, g4.Data, tab4)
+		ApplyVecTab(state, g4.Data, tab4)
+		ApplyLeft1Into(dst, m, (*[4]complex128)(g1.Data), 3)
+		ApplyLeft2Into(dst, m, (*[16]complex128)(g2.Data), 3, 1)
+		GatherProdBlocks1(blocks[:2*32], m, dst, 3)
+		TraceBlocks1(blocks[:2*32], (*[4]complex128)(g1.Data))
+		GatherIdentityBlocks1(blocks[:2*32], m, 3)
+		LayerGradContract(small, smallDst, 2, 0, &rc, &rt, &w, &v)
+		LayerGradContract(m, dst, 3, 1, &rc, &rt, &w, &v)
+		EmbedGate1(dst, (*[4]complex128)(g1.Data), 3)
+	})
+	if allocs != 0 {
+		t.Errorf("wide kernels allocate %v times per run, want 0", allocs)
+	}
+}
+
+func TestScatterTabConcurrentUsePanics(t *testing.T) {
+	// The ownership check turns a silent scratch-buffer race into a
+	// deterministic panic.
+	rng := rand.New(rand.NewSource(9))
+	m := RandomUnitary(8, rng)
+	g := RandomUnitary(2, rng)
+	tab := NewScatterTab([]int{1})
+	tab.acquire() // simulate another goroutine mid-kernel
+	defer tab.release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ApplyLeftTab on a busy tab did not panic")
+		}
+	}()
+	ApplyLeftTab(m, g.Data, tab)
+}
+
+func TestScatterTabPerGoroutineTabsRaceFree(t *testing.T) {
+	// The documented safe pattern: one tab per worker. Run under -race this
+	// exercises concurrent kernel calls on disjoint tabs and shared
+	// read-only inputs (the pattern internal/sim's UnitaryWorkers uses).
+	rng := rand.New(rand.NewSource(10))
+	g := RandomUnitary(8, rng)
+	src := RandomUnitary(32, rng)
+	const workers = 4
+	var wg sync.WaitGroup
+	out := make([]*Matrix, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			tab := NewScatterTab([]int{3, 1, 0})
+			m := src.Copy()
+			for i := 0; i < 8; i++ {
+				ApplyLeftTab(m, g.Data, tab)
+			}
+			out[w] = m
+		}(w)
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		if d := MaxAbsDiff(out[0], out[w]); d != 0 {
+			t.Fatalf("worker %d diverged from worker 0 by %g", w, d)
+		}
 	}
 }

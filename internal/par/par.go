@@ -9,6 +9,7 @@ package par
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -113,7 +114,9 @@ func (e *PanicError) Error() string {
 //   - Error propagation: the first fn error cancels the group context —
 //     in-flight fn calls that honor ctx stop early — and is returned.
 //     When several indices fail before the group drains, the error of
-//     the lowest index wins, keeping the returned error deterministic.
+//     the lowest index wins, keeping the returned error deterministic —
+//     except that a sibling failing only because the group was cancelled
+//     never hides the failure that cancelled it.
 //   - Panic isolation: a panic in fn is recovered and surfaced as a
 //     *PanicError carrying the worker index and stack, instead of
 //     crashing the process. A panic cancels the group like an error.
@@ -169,13 +172,33 @@ func ForEachErr(ctx context.Context, workers, n int, fn func(ctx context.Context
 		}(w)
 	}
 	wg.Wait()
+	return groupErr(ctx, errs)
+}
+
+// groupErr picks the error a parallel ForEachErr reports from its
+// per-index failures: the lowest-index one, except that a sibling's
+// cancellation never hides its cause. The first failure cancels the group
+// context, so in-flight siblings at lower indices may fail with
+// budget.ErrCancelled although the parent context is still live; those
+// rank after every other failure. With no failure at all, the parent
+// context decides: if it expired mid-loop some indices were skipped, so
+// the run is incomplete and must report it.
+func groupErr(ctx context.Context, errs []error) error {
+	var induced error
 	for _, err := range errs {
-		if err != nil {
+		switch {
+		case err == nil:
+		case ctx.Err() == nil && errors.Is(err, budget.ErrCancelled):
+			if induced == nil {
+				induced = err
+			}
+		default:
 			return err
 		}
 	}
-	// No fn failed; if the parent context expired mid-loop some indices
-	// were skipped, so the run is incomplete and must report it.
+	if induced != nil {
+		return induced
+	}
 	return budget.Check(ctx)
 }
 

@@ -255,3 +255,34 @@ func TestForEachPropagatesPanic(t *testing.T) {
 	})
 	t.Error("ForEach returned instead of panicking")
 }
+
+func TestForEachErrCauseBeatsSiblingCancellation(t *testing.T) {
+	// Index 0 fails only because index 1's failure cancelled the group;
+	// the cause must be reported although its index is higher.
+	cause := errors.New("cause")
+	fn := func(ctx context.Context, i int) error {
+		if i == 1 {
+			return cause
+		}
+		<-ctx.Done()
+		return budget.Check(ctx)
+	}
+	if err := ForEachErr(context.Background(), 2, 2, fn); !errors.Is(err, cause) {
+		t.Errorf("ForEachErr = %v, want the failure that cancelled the group", err)
+	}
+	if err := NewPool(2).ForEachErr(context.Background(), 2, fn); !errors.Is(err, cause) {
+		t.Errorf("Pool.ForEachErr = %v, want the failure that cancelled the group", err)
+	}
+	// A cancelled parent still reports the cancellation.
+	ctx, cancel := context.WithCancel(context.Background())
+	err := ForEachErr(ctx, 2, 2, func(ctx context.Context, i int) error {
+		if i == 1 {
+			cancel()
+		}
+		<-ctx.Done()
+		return budget.Check(ctx)
+	})
+	if !errors.Is(err, budget.ErrCancelled) {
+		t.Errorf("ForEachErr under a cancelled parent = %v, want ErrCancelled", err)
+	}
+}

@@ -11,9 +11,17 @@ import (
 
 // MaxBlockSize is the widest partition block the repository handles: the
 // paper synthesizes blocks of at most 4 qubits, and a block's unitary
-// costs 2ⁿ×2ⁿ to build. LoadSynthesis rejects wider artifacts and questd
-// rejects wider submissions.
+// costs 2ⁿ×2ⁿ to build. PartitionStage (so every pipeline run),
+// LoadSynthesis and Config.Validate reject wider blocks.
 const MaxBlockSize = 4
+
+// checkBlockSize is the one block-size bound of the pipeline.
+func checkBlockSize(n int) error {
+	if n < 1 || n > MaxBlockSize {
+		return fmt.Errorf("block size %d outside 1..%d", n, MaxBlockSize)
+	}
+	return nil
+}
 
 // Config controls the pipeline. The zero value selects the paper-like
 // defaults (documented per field).
@@ -166,6 +174,17 @@ func (c *Config) defaults() {
 func (c Config) Resolved() Config {
 	c.defaults()
 	return c
+}
+
+// Validate reports an error for a Config the pipeline would reject once
+// resolved; services call it to refuse a request at admission rather
+// than fail the run.
+func (c Config) Validate() error {
+	c.defaults()
+	if err := checkBlockSize(c.BlockSize); err != nil {
+		return fmt.Errorf("pipeline: %w", err)
+	}
+	return nil
 }
 
 // Artifact-invalidation contract (see DESIGN.md "Pipeline architecture"):

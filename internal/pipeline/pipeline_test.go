@@ -108,6 +108,27 @@ func TestRunEmptyCircuit(t *testing.T) {
 	}
 }
 
+func TestRunRejectsBlockSizeAboveMax(t *testing.T) {
+	// The pipeline itself bounds the block size: a 5-qubit block would
+	// compile a 32x32 unitary per block and produce an artifact that
+	// LoadSynthesis rejects.
+	c := algos.TFIM(6, 1, 0.1, 1, 1)
+	for _, bs := range []int{MaxBlockSize + 1, -1} {
+		cfg := Config{BlockSize: bs}
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate with BlockSize %d = nil, want error", bs)
+		}
+		if _, err := RunCtx(context.Background(), c, cfg); err == nil {
+			t.Errorf("RunCtx with BlockSize %d = nil error, want rejection", bs)
+		}
+	}
+	for _, bs := range []int{0, 1, MaxBlockSize} {
+		if err := (Config{BlockSize: bs}).Validate(); err != nil {
+			t.Errorf("Validate with BlockSize %d: %v", bs, err)
+		}
+	}
+}
+
 func TestRunSmallTFIM(t *testing.T) {
 	c := algos.TFIM(4, 3, 0.1, 1, 1)
 	res, err := Run(c, testConfig())

@@ -164,8 +164,8 @@ func LoadSynthesis(r io.Reader) (*SynthesisArtifact, error) {
 	if doc.Version != synthArtifactVersion {
 		return nil, fmt.Errorf("pipeline: load artifact: unsupported version %d", doc.Version)
 	}
-	if doc.BlockSize < 1 || doc.BlockSize > MaxBlockSize {
-		return nil, fmt.Errorf("pipeline: load artifact: block size %d outside 1..%d", doc.BlockSize, MaxBlockSize)
+	if err := checkBlockSize(doc.BlockSize); err != nil {
+		return nil, fmt.Errorf("pipeline: load artifact: %w", err)
 	}
 	orig, err := qasm.Parse(doc.Original)
 	if err != nil {

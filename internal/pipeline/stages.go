@@ -24,6 +24,9 @@ func PartitionStage(cfg Config) Stage[*circuit.Circuit, *PartitionArtifact] {
 	cfg.defaults()
 	return NewStage("partition", func(ctx context.Context, c *circuit.Circuit) (*PartitionArtifact, error) {
 		elapsed := stageClock()
+		if err := checkBlockSize(cfg.BlockSize); err != nil {
+			return nil, fmt.Errorf("pipeline: partition: %w", err)
+		}
 		if err := budget.Check(ctx); err != nil && !cfg.AllowDegraded {
 			return nil, fmt.Errorf("pipeline: %w", err)
 		}

@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,6 +47,7 @@ func FuzzParse(f *testing.F) {
 		"qreg q[1];\nh\n", "qreg q[999999999999999999999];",
 		"qreg q[65];", "qreg a[64];\nqreg b[1];",
 		"qreg a[9223372036854775807];\nqreg b[9223372036854775807];",
+		doublingProgram(18, "h a;"), doublingProgram(60, ""),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -171,5 +173,37 @@ func TestParseRejectsOversizedRegisters(t *testing.T) {
 	}
 	if _, err := Parse("qreg q[64];\nh q[0];"); err != nil {
 		t.Errorf("register at the limit rejected: %v", err)
+	}
+}
+
+// doublingProgram returns a program of `levels` nested gate definitions,
+// each applying the previous one twice, so the single application at the
+// end expands 2^levels times over. body is the innermost gate body.
+func doublingProgram(levels int, body string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "OPENQASM 2.0;\ngate g0 a { %s %s }\n", body, body)
+	for i := 1; i < levels; i++ {
+		fmt.Fprintf(&b, "gate g%d a { g%d a; g%d a; }\n", i, i-1, i-1)
+	}
+	fmt.Fprintf(&b, "qreg q[1];\ng%d q[0];\n", levels-1)
+	return b.String()
+}
+
+// TestParseRejectsExponentialExpansion covers the MaxOps cap: doubling
+// gate definitions fail fast with an error instead of expanding to 2^levels
+// ops (or, with empty bodies, to 2^levels calls that emit nothing).
+func TestParseRejectsExponentialExpansion(t *testing.T) {
+	for _, src := range []string{doublingProgram(18, "h a;"), doublingProgram(60, "")} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("Parse(%d-byte doubling program) = %v, want expansion-limit error", len(src), err)
+		}
+	}
+	// 2^14 ops plus 2^14-1 macro steps stays under the cap.
+	c, err := Parse(doublingProgram(14, "h a;"))
+	if err != nil {
+		t.Fatalf("doubling program under the limit rejected: %v", err)
+	}
+	if c.Size() != 1<<14 {
+		t.Errorf("expanded to %d ops, want %d", c.Size(), 1<<14)
 	}
 }

@@ -17,6 +17,14 @@ import (
 // sampler); statevector stages top out far below it anyway.
 const MaxQubits = 64
 
+// MaxOps caps the gate applications a parsed program may expand to. Each
+// step of a user-gate expansion counts as one, as does each emitted op,
+// so nested definitions that double at every level (including ones whose
+// innermost body is empty) fail with an error instead of expanding
+// exponentially. The largest corpus circuit has under 200 ops; the largest
+// generated workload within MaxQubits (the 64-qubit multiplier) about 22k.
+const MaxOps = 1 << 16
+
 // gateAliases maps QASM gate names to the registry names used by the
 // circuit IR where they differ.
 var gateAliases = map[string]string{
@@ -69,6 +77,7 @@ type parser struct {
 	regs   map[string]register
 	macros map[string]*macro
 	next   int // next free qubit offset
+	steps  int // expand calls so far, capped by MaxOps
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -393,6 +402,9 @@ func (p *parser) resolve(name string) (*gate.Spec, *macro, error) {
 func (p *parser) expand(c *circuit.Circuit, name string, params []float64, qubits []int, depth, line int) error {
 	if depth > 64 {
 		return fmt.Errorf("qasm: line %d: gate expansion too deep (recursive definition?)", line)
+	}
+	if p.steps++; p.steps > MaxOps {
+		return fmt.Errorf("qasm: line %d: program expands past the limit of %d gate applications", line, MaxOps)
 	}
 	spec, m, err := p.resolve(name)
 	if err != nil {

@@ -33,33 +33,16 @@ func ApplyMatrixOp(state linalg.Vector, n int, m *linalg.Matrix, qubits []int) {
 	if len(state) != 1<<n {
 		panic(fmt.Sprintf("sim: state length %d != 2^%d", len(state), n))
 	}
+	// The kernels are shared with the synthesizer (internal/linalg): 1- and
+	// 2-qubit gates are unrolled, wider ones (ccx) take the ScatterTab path.
 	switch len(qubits) {
 	case 1:
-		apply1(state, m, qubits[0])
+		linalg.ApplyVec1(state, (*[4]complex128)(m.Data), qubits[0])
 	case 2:
-		apply2(state, m, qubits[0], qubits[1])
-	case 3:
-		linalg.ApplyVec3(state, (*[64]complex128)(m.Data), qubits[0], qubits[1], qubits[2])
-	case 4:
-		linalg.ApplyVec4(state, (*[256]complex128)(m.Data), qubits[0], qubits[1], qubits[2], qubits[3])
+		linalg.ApplyVec2(state, (*[16]complex128)(m.Data), qubits[0], qubits[1])
 	default:
-		applyK(state, m, qubits)
+		linalg.ApplyVecTab(state, m.Data, linalg.NewScatterTab(qubits))
 	}
-}
-
-// apply1, apply2 and applyK delegate to the shared kernel layer in
-// internal/linalg (the same unrolled kernels the synthesizer uses on full
-// matrices).
-func apply1(state linalg.Vector, m *linalg.Matrix, q int) {
-	linalg.ApplyVec1(state, (*[4]complex128)(m.Data), q)
-}
-
-func apply2(state linalg.Vector, m *linalg.Matrix, qHi, qLo int) {
-	linalg.ApplyVec2(state, (*[16]complex128)(m.Data), qHi, qLo)
-}
-
-func applyK(state linalg.Vector, m *linalg.Matrix, qubits []int) {
-	linalg.ApplyVecTab(state, m.Data, linalg.NewScatterTab(qubits))
 }
 
 // Run evolves |0...0> through the circuit and returns the final state.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/algos"
 	"repro/internal/circuit"
 	"repro/internal/linalg"
 )
@@ -154,8 +155,9 @@ func TestRunFromLengthCheck(t *testing.T) {
 }
 
 func TestApplyKGeneralKernelMatchesSpecialized(t *testing.T) {
-	// Apply a 2-qubit random unitary via both apply2 (2 listed qubits)
-	// and applyK (forced by a wrapper matrix on 3 qubits with identity).
+	// Apply a 2-qubit random unitary via both the unrolled 2-qubit kernel
+	// and the generic one (forced by a wrapper matrix on 3 qubits with
+	// identity).
 	rng := rand.New(rand.NewSource(3))
 	m := linalg.RandomUnitary(4, rng)
 	state1 := linalg.RandomState(8, rng)
@@ -238,21 +240,52 @@ func TestUnitaryWorkersInvariant(t *testing.T) {
 	}
 }
 
-func TestApplyMatrixOpWideDispatchMatchesTab(t *testing.T) {
-	// The k=3 and k=4 cases route to the unrolled linalg kernels, which
-	// agree with the generic ScatterTab path bit-for-bit.
-	rng := rand.New(rand.NewSource(11))
-	const n = 5
-	for _, qs := range [][]int{{4, 1, 0}, {0, 2, 3}, {3, 4, 1, 0}, {0, 1, 2, 4}} {
-		m := linalg.RandomUnitary(1<<len(qs), rng)
-		state := linalg.RandomState(1<<n, rng)
-		viaTab := state.Copy()
-		ApplyMatrixOp(state, n, m, qs)
-		linalg.ApplyVecTab(viaTab, m.Data, linalg.NewScatterTab(qs))
-		for i := range state {
-			if state[i] != viaTab[i] {
-				t.Fatalf("qubits %v entry %d: %v != %v", qs, i, state[i], viaTab[i])
+func TestUnitaryWithCCXMatchesExpandedProduct(t *testing.T) {
+	// The adder's ccx gates are the 3-qubit ops that reach the simulator
+	// (through the generic ScatterTab kernel); its unitary must equal the
+	// ordered product of every op's full-space embedding.
+	c := algos.Adder(2, 1, 3)
+	n := c.NumQubits
+	want := linalg.Identity(1 << n)
+	ccx := 0
+	for _, op := range c.Ops {
+		if len(op.Qubits) == 3 {
+			ccx++
+		}
+		want = linalg.Mul(embedGate(n, OpMatrix(op), op.Qubits), want)
+	}
+	if ccx == 0 {
+		t.Fatal("adder has no 3-qubit ops")
+	}
+	if got := Unitary(c); !linalg.EqualApprox(got, want, 1e-12) {
+		t.Errorf("Unitary(adder) differs from the expanded product (max diff %g)", linalg.MaxAbsDiff(got, want))
+	}
+}
+
+// embedGate expands a small gate on the listed qubits (first listed = most
+// significant local bit) to the full 2^n x 2^n matrix, entry by entry.
+func embedGate(n int, g *linalg.Matrix, qubits []int) *linalg.Matrix {
+	k := len(qubits)
+	mask := 0
+	for _, q := range qubits {
+		mask |= 1 << q
+	}
+	local := func(i int) int {
+		l := 0
+		for j, q := range qubits {
+			if i&(1<<q) != 0 {
+				l |= 1 << (k - 1 - j)
+			}
+		}
+		return l
+	}
+	out := linalg.New(1<<n, 1<<n)
+	for row := 0; row < 1<<n; row++ {
+		for col := 0; col < 1<<n; col++ {
+			if row&^mask == col&^mask {
+				out.Set(row, col, g.At(local(row), local(col)))
 			}
 		}
 	}
+	return out
 }

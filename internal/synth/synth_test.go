@@ -14,46 +14,44 @@ import (
 )
 
 func TestApplyLeftMatchesFullProduct(t *testing.T) {
+	// applyOpLeft, the objective's per-op path, against G_full·m with
+	// G_full the simulated unitary of the one-op circuit, for every op
+	// kind of the ansatz (U3, CX, RY, RZ).
 	rng := rand.New(rand.NewSource(1))
+	a := randomAnsatz(3, 4, rng)
+	params := randomParams(a.nparams, rng)
 	m := linalg.RandomUnitary(8, rng)
-	g := linalg.RandomUnitary(4, rng)
-	got := m.Copy()
-	applyLeft(got, g, []int{2, 0})
-	// Full G: acts on qubits 2 (MSB of gate) and 0; expand manually via
-	// a 3-qubit circuit application to identity columns.
-	full := linalg.Identity(8)
-	applyLeft(full, g, []int{2, 0})
-	want := linalg.Mul(full, m)
-	if !linalg.EqualApprox(got, want, 1e-9) {
-		t.Error("applyLeft != G_full · m")
+	var g [16]complex128
+	for i, op := range a.ops {
+		op.matrixInto(params, g[:])
+		got := m.Copy()
+		applyOpLeft(got, op, &g)
+		if want := linalg.Mul(opFullUnitary(a.n, op, params), m); !linalg.EqualApprox(got, want, 1e-9) {
+			t.Errorf("op %d (kind %d): applyOpLeft != G_full · m", i, op.kind)
+		}
 	}
 }
 
 func TestApplyRightMatchesFullProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	a := randomAnsatz(3, 4, rng)
+	params := randomParams(a.nparams, rng)
 	m := linalg.RandomUnitary(8, rng)
-	g := linalg.RandomUnitary(4, rng)
-	full := linalg.Identity(8)
-	applyLeft(full, g, []int{1, 2})
-	want := linalg.Mul(m, full)
-	got := m.Copy()
-	applyRight(got, g, []int{1, 2})
-	if !linalg.EqualApprox(got, want, 1e-9) {
-		t.Error("applyRight != m · G_full")
+	var g [16]complex128
+	for i, op := range a.ops {
+		op.matrixInto(params, g[:])
+		got := m.Copy()
+		applyOpRight(got, op, &g)
+		if want := linalg.Mul(m, opFullUnitary(a.n, op, params)); !linalg.EqualApprox(got, want, 1e-9) {
+			t.Errorf("op %d (kind %d): applyOpRight != m · G_full", i, op.kind)
+		}
 	}
 }
 
-func TestSubspaceTrace(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := linalg.RandomUnitary(8, rng)
-	g := linalg.RandomUnitary(4, rng)
-	full := linalg.Identity(8)
-	applyLeft(full, g, []int{2, 1})
-	want := linalg.Mul(a, full).Trace()
-	got := subspaceTrace(a, g, []int{2, 1})
-	if d := want - got; real(d)*real(d)+imag(d)*imag(d) > 1e-18 {
-		t.Errorf("subspaceTrace = %v, want %v", got, want)
-	}
+// opFullUnitary is the full n-qubit unitary of one ansatz op, built
+// through the gate registry and the simulator.
+func opFullUnitary(n int, op aop, params []float64) *linalg.Matrix {
+	return sim.Unitary((&ansatz{n: n, ops: []aop{op}}).toCircuit(params))
 }
 
 func TestObjectiveGradientMatchesNumeric(t *testing.T) {
